@@ -10,10 +10,12 @@
 #include <span>
 
 #include "bench_common.hpp"
+#include "core/patch_ops.hpp"
 #include "core/rollout.hpp"
 #include "core/surrogate.hpp"
 #include "core/window4d.hpp"
 #include "nn/attention.hpp"
+#include "nn/conv.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -207,6 +209,40 @@ static void BM_AttentionBackwardUnfused(benchmark::State& state) {
   attention_backward_bench(state, /*fused=*/false);
 }
 BENCHMARK(BM_AttentionBackwardUnfused)->Arg(64)->Arg(256)->Arg(512);
+
+/// The surrogate's 3-D patch-recovery head at the serve-cold shape: B = 8
+/// requests under BatchStatScope(8), decoder tokens [8, 8, 4, 4, 4, 4]
+/// (Tn = 4, volume depth slices [0, 3)) to frames [8, 3, 20, 20, 6, 3].
+/// `module` chains fold_time -> transposed conv -> BatchNorm -> GELU ->
+/// 1x1 conv -> unfold_time -> slice as training does; `fused` is the one
+/// tiled inference pass the served forward takes.
+static void BM_RecoveryHead(benchmark::State& state, bool fused) {
+  util::Rng rng(9);
+  const int64_t B = 8, C = 8, Tn = 4;
+  nn::PatchConvTransposeNd up(C, C, {5, 5, 2}, rng);
+  nn::BatchNorm bn(C, 1e-5f, 0.1f, /*use_batch_stats_in_eval=*/true);
+  nn::PointwiseConvNd head(C, 3, rng);
+  bn.set_training(false);
+  Tensor x = Tensor::randn({B, C, 4, 4, 4, Tn}, rng);
+  tensor::NoGradGuard ng;
+  nn::BatchStatScope scope(B);
+  for (auto _ : state) {
+    tensor::ArenaScope arena;
+    if (fused) {
+      benchmark::DoNotOptimize(
+          nn::patch_recovery_head(x, 0, 3, 1, up, bn, head).raw());
+    } else {
+      Tensor rec = core::unfold_time(
+          head.forward(
+              bn.forward(up.forward(core::fold_time(x.slice(4, 0, 3))))
+                  .gelu()),
+          B, Tn);
+      benchmark::DoNotOptimize(rec.slice(5, 1, Tn - 1).raw());
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_RecoveryHead, module, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_RecoveryHead, fused, true)->UseRealTime();
 
 static void BM_TrainStep(benchmark::State& state) {
   // One optimizer step of the paper's surrogate at miniature scale:

@@ -135,6 +135,18 @@ SurrogateOutput SurrogateModel::forward(const Tensor& volume,
 
   // ---- split depth and recover ------------------------------------------
   const int64_t dv = cfg_.D / cfg_.patch_d;        // volume depth slices
+  SurrogateOutput out;
+  if (!tensor::grad_enabled() && !training()) {
+    // Inference: each head is one fused tiled pass from the decoder tokens
+    // to the T forecast frames, bitwise equal to the module chain below
+    // (which training and any recorded forward keep).  The
+    // initial-condition frame only feeds the BatchNorm statistics.
+    out.volume = nn::patch_recovery_head(x, 0, dv, 1, *recover3d_, *bn3d_,
+                                         *head3d_);
+    out.surface = nn::patch_recovery_head(x, dv, 1, 1, *recover2d_, *bn2d_,
+                                          *head2d_);
+    return out;
+  }
   Tensor vol_part = x.slice(4, 0, dv);             // [B, C, h1, w1, dv, Tn]
   Tensor surf_part = x.slice(4, dv, 1);            // [B, C, h1, w1, 1, Tn]
   tensor::Shape ss = surf_part.shape();
@@ -151,7 +163,6 @@ SurrogateOutput SurrogateModel::forward(const Tensor& volume,
 
   // Predictions are the T forecast frames (drop the initial-condition
   // frame).
-  SurrogateOutput out;
   out.volume = vol_rec.slice(5, 1, cfg_.T);
   out.surface = surf_rec.slice(4, 1, cfg_.T);
   return out;

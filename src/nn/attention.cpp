@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "nn/layers.hpp"
+#include "obs/profile.hpp"
 #include "tensor/kernels.hpp"
 
 namespace coastal::nn {
@@ -188,6 +189,8 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t dim, int64_t heads,
 
 Tensor MultiHeadSelfAttention::forward(const Tensor& x,
                                        const Tensor& mask) const {
+  // One attention sample per forward, whichever route runs below.
+  obs::ScopedStage obs_stage(obs::Stage::kAttention);
   COASTAL_CHECK(x.ndim() == 3 && x.shape()[2] == dim_);
   const int64_t B = x.shape()[0];
   const int64_t N = x.shape()[1];

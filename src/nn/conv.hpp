@@ -59,6 +59,8 @@ class PatchConvTransposeNd : public Module {
   int64_t in_channels() const { return in_; }
   int64_t out_channels() const { return out_; }
   const std::vector<int64_t>& kernel() const { return kernel_; }
+  /// [Cin, Cout * prod(kernel)] projection; columns are (Cout, k1..kk).
+  const Linear& proj() const { return *proj_; }
 
  private:
   int64_t in_, out_;
@@ -73,10 +75,39 @@ class PointwiseConvNd : public Module {
 
   Tensor forward(const Tensor& x) const;
 
+  int64_t in_channels() const { return in_; }
+  int64_t out_channels() const { return out_; }
+  const Linear& proj() const { return *proj_; }
+
  private:
   int64_t in_, out_;
   std::shared_ptr<Linear> proj_;
 };
+
+/// Inference kernel for a patch-recovery head — PatchConvTransposeNd ->
+/// BatchNorm -> GELU -> PointwiseConvNd — in one tiled pass from decoder
+/// tokens straight to forecast frames.
+///
+/// `x` is the decoder output [B, Cin, c1, c2, cd, Tn] (time trailing).  The
+/// head reads depth slices [d0, d0 + nd): a rank-3 `up` kernel (k1, k2, k3)
+/// recovers a volume, a rank-2 one (k1, k2) a plane from nd == 1 slice.
+/// Returns [B, Cout, c1·k1, c2·k2, (nd·k3,) Tn − t0]: frames t < t0 feed the
+/// BatchNorm statistics but are never activated or projected (the
+/// surrogate passes t0 = 1 to drop the initial-condition frame).
+///
+/// Bitwise equal to fold_time → up → bn → gelu → head → unfold_time →
+/// slice (the module path, which stays the autograd path and the
+/// reference): the same GEMM entry computes the projection; BatchNorm
+/// statistics accumulate per (BatchStatScope group, channel) in float in
+/// the module path's row order; and the normalize / affine / GELU ops run
+/// in the module path's order, one rounding each — this translation unit
+/// is built with -ffp-contract=off (see docs/kernels.md).  Inference only:
+/// requires recording off and `bn` in eval mode with batch statistics.
+/// Scratch comes from tensor::Workspace and pooled/arena storage, so a
+/// steady-state call allocates nothing.
+Tensor patch_recovery_head(const Tensor& x, int64_t d0, int64_t nd,
+                           int64_t t0, const PatchConvTransposeNd& up,
+                           const BatchNorm& bn, const PointwiseConvNd& head);
 
 namespace detail {
 /// [B, C, d1..dk] -> [B, n_blocks, C * prod(kernel)] token layout where

@@ -93,6 +93,10 @@ class BatchNorm : public Module {
 
   Tensor forward(const Tensor& x);
 
+  int64_t channels() const { return channels_; }
+  float eps() const { return eps_; }
+  bool use_batch_stats_in_eval() const { return use_batch_stats_in_eval_; }
+
   Tensor gamma, beta;
   Tensor running_mean, running_var;
 

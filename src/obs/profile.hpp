@@ -32,7 +32,7 @@ enum class Stage : int {
   kCacheProbe,  ///< forecast-cache probe of a batch's uniques
   kForward,     ///< surrogate forward (retry loop included)
   kGemm,        ///< tensor::kernels::gemm / gemm_batched
-  kAttention,   ///< fused attention forward / backward
+  kAttention,   ///< nn::MultiHeadSelfAttention forward (either route)
   kVerify,      ///< physics verification of one entry
   kFallback,    ///< numerical-model episode (degraded / salvage)
   kHalo,        ///< one halo-exchange round of a sharded forecast

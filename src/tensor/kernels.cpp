@@ -623,7 +623,6 @@ void attention_fused(const float* Q, const float* K, const float* V, float* O,
                      float scale, const float* mask,
                      const std::vector<int64_t>& mask_off, float* stats) {
   if (nbatch <= 0 || nq <= 0 || nkv <= 0 || d <= 0) return;
-  obs::ScopedStage obs_stage(obs::Stage::kAttention);
   const KernelConfig& cfg = config();
   const int64_t bq = std::max<int64_t>(1, cfg.attn_bq);
   const int64_t bc_max = std::min(std::max<int64_t>(1, cfg.attn_bkv), nkv);
@@ -789,7 +788,6 @@ void attention_fused_backward(const float* Q, const float* K, const float* V,
                               const float* mask,
                               const std::vector<int64_t>& mask_off) {
   if (nbatch <= 0 || nq <= 0 || nkv <= 0 || d <= 0) return;
-  obs::ScopedStage obs_stage(obs::Stage::kAttention);
   const KernelConfig& cfg = config();
   const int64_t bc_max = std::min(std::max<int64_t>(1, cfg.attn_bkv), nkv);
   // Head-dim specialization mirrors the forward (path depends only on d).

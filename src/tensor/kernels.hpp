@@ -25,6 +25,7 @@
 /// (storage.hpp): grow-only buffers reused across calls, so steady-state
 /// kernel execution allocates nothing inside parallel_for tasks.
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -212,6 +213,14 @@ void attention_fused_backward(const float* Q, const float* K, const float* V,
                               int64_t nkv, int64_t d, float scale,
                               const float* mask,
                               const std::vector<int64_t>& mask_off);
+
+/// Exact (erf-based) GELU of one value: the single definition behind
+/// `Tensor::gelu` and the fused patch-recovery head, so both compute the
+/// same expression bit for bit (it holds no multiply-add to contract).
+inline float gelu_erf(float x) {
+  constexpr float kInvSqrt2 = 0.7071067811865475f;
+  return 0.5f * x * (1.0f + std::erf(x * kInvSqrt2));
+}
 
 // ---------------------------------------------------------------------------
 // Row-wise fused ops (softmax / layer norm); parallel over rows.

@@ -407,9 +407,10 @@ size_t Workspace::bytes() const {
       gemm_apack.capacity() + gemm_bpack.capacity() + attn_kt.capacity() +
       attn_scores.capacity() + attn_stat.capacity() + attn_bwd_kt.capacity() +
       attn_bwd_vt.capacity() + attn_bwd_p.capacity() + attn_bwd_dp.capacity() +
-      attn_bwd_delta.capacity() + ln_stash_row.capacity();
-  const size_t i =
-      off_a.capacity() + off_b.capacity() + mask_off.capacity();
+      attn_bwd_delta.capacity() + ln_stash_row.capacity() +
+      head_stats.capacity() + head_tile.capacity();
+  const size_t i = off_a.capacity() + off_b.capacity() +
+                   mask_off.capacity() + head_offsets.capacity();
   return f * sizeof(float) + i * sizeof(int64_t);
 }
 

@@ -186,11 +186,17 @@ struct Workspace {
   // stash stores stay L1-resident instead of streaming a numel-sized
   // buffer.
   std::vector<float> ln_stash_row;
+  // Fused patch-recovery head (nn::patch_recovery_head): per-call
+  // BatchNorm statistics on the calling thread, and one tile of
+  // activated rows + head outputs on each executing thread.
+  std::vector<float> head_stats;
+  std::vector<float> head_tile;
   // Batched-op offset tables (matmul broadcast offsets, attention mask
   // offsets) rebuilt per call into retained capacity.
   std::vector<int64_t> off_a;
   std::vector<int64_t> off_b;
   std::vector<int64_t> mask_off;
+  std::vector<int64_t> head_offsets;  ///< fine point -> projection offsets
 
   /// Bytes currently retained by this thread's workspace.
   size_t bytes() const;

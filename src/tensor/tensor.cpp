@@ -437,10 +437,7 @@ Tensor Tensor::gelu() const {
   constexpr float kInvSqrt2 = 0.7071067811865475f;
   constexpr float kInvSqrt2Pi = 0.3989422804014327f;
   return unary_op(
-      *this, "gelu",
-      [](float x) {
-        return 0.5f * x * (1.0f + std::erf(x * kInvSqrt2));
-      },
+      *this, "gelu", [](float x) { return kernels::gelu_erf(x); },
       [](float g, float x) {
         const float cdf = 0.5f * (1.0f + std::erf(x * kInvSqrt2));
         const float pdf = kInvSqrt2Pi * std::exp(-0.5f * x * x);

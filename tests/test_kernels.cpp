@@ -8,9 +8,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
+#include "core/patch_ops.hpp"
 #include "nn/attention.hpp"
 #include "nn/checkpoint.hpp"
+#include "nn/conv.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
 #include "test_helpers.hpp"
@@ -937,4 +940,162 @@ TEST(Kernels, MatmulGradcheckThroughBlockedKernel) {
       [&](const Tensor& t) { return t.matmul(b).sum(); }, a);
   coastal::testing::gradcheck(
       [&](const Tensor& t) { return a.matmul(t).mul_scalar(0.5f).sum(); }, b);
+}
+
+// ---------------------------------------------------------------------------
+// Fused patch-recovery head (nn::patch_recovery_head)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One patch-recovery head (transposed conv + BatchNorm + 1x1 conv) with
+/// non-trivial weights, affine and biases, in eval mode.
+struct RecoveryHead {
+  nn::PatchConvTransposeNd up;
+  nn::BatchNorm bn;
+  nn::PointwiseConvNd head;
+
+  RecoveryHead(int64_t C, int64_t O, std::vector<int64_t> kernel,
+               util::Rng& rng)
+      : up(C, C, std::move(kernel), rng),
+        bn(C, 1e-5f, 0.1f, /*use_batch_stats_in_eval=*/true),
+        head(C, O, rng) {
+    for (nn::Module* m : {static_cast<nn::Module*>(&up),
+                          static_cast<nn::Module*>(&bn),
+                          static_cast<nn::Module*>(&head)}) {
+      for (Tensor p : m->parameters()) {
+        for (float& v : p.data()) v += static_cast<float>(rng.normal(0.0, 0.3));
+      }
+      m->set_training(false);
+    }
+  }
+
+  /// The module path exactly as SurrogateModel chains it: fold_time ->
+  /// up -> bn -> gelu -> head -> unfold_time -> slice.
+  Tensor module_path(const Tensor& x, int64_t d0, int64_t nd, int64_t t0) {
+    const int64_t B = x.shape()[0], Tn = x.shape()[5];
+    Tensor part = x.slice(4, d0, nd);
+    if (up.kernel().size() == 2) {
+      const Shape s = part.shape();
+      part = part.reshape({s[0], s[1], s[2], s[3], s[5]});
+    }
+    Tensor rec = core::unfold_time(
+        head.forward(bn.forward(up.forward(core::fold_time(part))).gelu()), B,
+        Tn);
+    return rec.slice(static_cast<int>(rec.ndim()) - 1, t0, Tn - t0);
+  }
+
+  Tensor fused(const Tensor& x, int64_t d0, int64_t nd, int64_t t0) const {
+    return nn::patch_recovery_head(x, d0, nd, t0, up, bn, head);
+  }
+};
+
+::testing::AssertionResult bitwise_equal(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure()
+           << "shape " << tensor::shape_str(a.shape()) << " vs "
+           << tensor::shape_str(b.shape());
+  }
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    uint32_t ua, ub;
+    std::memcpy(&ua, a.raw() + i, sizeof ua);
+    std::memcpy(&ub, b.raw() + i, sizeof ub);
+    if (ua != ub) {
+      return ::testing::AssertionFailure()
+             << "first mismatch at flat index " << i << ": " << a.raw()[i]
+             << " vs " << b.raw()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct HeadCase {
+  const char* name;
+  std::vector<int64_t> kernel;
+  int64_t c1, c2, cd, d0, nd, Tn, C, O;
+};
+
+/// The served heads: the 3-D head over depth slices [0, 3) and the 2-D head
+/// over the surface slice 3 of a [B, 8, 4, 4, 4, 4] decoder output.
+const HeadCase kHead3d{"3d", {5, 5, 2}, 4, 4, 4, 0, 3, 4, 8, 3};
+const HeadCase kHead2d{"2d", {5, 5}, 4, 4, 4, 3, 1, 4, 8, 1};
+
+}  // namespace
+
+TEST(Kernels, FusedRecoveryHeadMatchesModulePathBitwise) {
+  tensor::NoGradGuard ng;
+  coastal::testing::KernelConfigOverride guard;
+  util::Rng rng(31);
+  for (const HeadCase& hc : {kHead3d, kHead2d}) {
+    RecoveryHead m(hc.C, hc.O, hc.kernel, rng);
+    for (int64_t B : {1, 3, 8}) {
+      Tensor x = Tensor::randn({B, hc.C, hc.c1, hc.c2, hc.cd, hc.Tn}, rng);
+      for (int64_t groups : {int64_t{1}, B}) {
+        nn::BatchStatScope scope(groups);
+        ker::config() = guard.saved;
+        const Tensor ref = m.module_path(x, hc.d0, hc.nd, 1);
+        ker::config().num_threads = 1;
+        EXPECT_TRUE(bitwise_equal(m.fused(x, hc.d0, hc.nd, 1), ref))
+            << hc.name << " B=" << B << " groups=" << groups << " serial";
+        ker::config().num_threads = 4;
+        ker::config().parallel_grain = 1;  // force chunked dispatch
+        EXPECT_TRUE(bitwise_equal(m.fused(x, hc.d0, hc.nd, 1), ref))
+            << hc.name << " B=" << B << " groups=" << groups << " parallel";
+      }
+    }
+  }
+}
+
+TEST(Kernels, FusedRecoveryHeadMatchesAtGemmRouteEdges) {
+  // Tiny heads whose GEMMs take the naive small-problem route in the
+  // module path, and a head whose module GEMM is blocked while the fused
+  // kernel's kept rows alone would fall below gemm_small_madds (the tile
+  // is padded to stay on the blocked route).  Also t0 = 0 keeps every
+  // frame.
+  tensor::NoGradGuard ng;
+  util::Rng rng(37);
+  const HeadCase naive{"naive", {2, 2, 2}, 1, 1, 2, 0, 2, 2, 4, 3};
+  const HeadCase padded{"padded", {5, 5}, 2, 2, 1, 0, 1, 2, 8, 3};
+  for (const HeadCase& hc : {naive, padded}) {
+    RecoveryHead m(hc.C, hc.O, hc.kernel, rng);
+    Tensor x = Tensor::randn({1, hc.C, hc.c1, hc.c2, hc.cd, hc.Tn}, rng);
+    for (int64_t t0 : {0, 1}) {
+      EXPECT_TRUE(bitwise_equal(m.fused(x, hc.d0, hc.nd, t0),
+                                m.module_path(x, hc.d0, hc.nd, t0)))
+          << hc.name << " t0=" << t0;
+    }
+  }
+}
+
+TEST(Kernels, FusedRecoveryHeadPoisonsOnlyTheNonFiniteEntrysGroup) {
+  tensor::NoGradGuard ng;
+  util::Rng rng(41);
+  const int64_t B = 3;
+  nn::BatchStatScope scope(B);
+  for (const HeadCase& hc : {kHead3d, kHead2d}) {
+    RecoveryHead m(hc.C, hc.O, hc.kernel, rng);
+    for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                      std::numeric_limits<float>::infinity()}) {
+      Tensor x = Tensor::randn({B, hc.C, hc.c1, hc.c2, hc.cd, hc.Tn}, rng);
+      x.set({1, 2, 1, 3, hc.d0, 2}, bad);  // entry 1 only
+      const Tensor ref = m.module_path(x, hc.d0, hc.nd, 1);
+      const Tensor got = m.fused(x, hc.d0, hc.nd, 1);
+      ASSERT_EQ(got.shape(), ref.shape());
+      const int64_t per_entry = got.numel() / B;
+      int64_t poisoned = 0;
+      for (int64_t i = 0; i < got.numel(); ++i) {
+        const float g = got.raw()[i], r = ref.raw()[i];
+        ASSERT_EQ(std::isnan(g), std::isnan(r)) << hc.name << " idx " << i;
+        ASSERT_EQ(std::isinf(g), std::isinf(r)) << hc.name << " idx " << i;
+        if (std::isfinite(r)) {
+          ASSERT_EQ(g, r) << hc.name << " idx " << i;
+        } else {
+          ASSERT_EQ(i / per_entry, 1) << "non-finite value escaped entry 1's "
+                                         "BatchNorm group at idx " << i;
+          ++poisoned;
+        }
+      }
+      EXPECT_GT(poisoned, 0) << hc.name << ": the bad value had no effect";
+    }
+  }
 }

@@ -484,6 +484,23 @@ TEST(ObsServer, OneSnapshotUnifiesServerCacheFaultAndStageMetrics) {
   EXPECT_NE(json.find("coastal_serve_served_total"), std::string::npos);
 }
 
+TEST(ObsServer, DefaultServedForwardRecordsAttentionStage) {
+  // The attention stage wraps the attention module's forward, so it
+  // records on the unfused route the model's window sizes take too.
+  auto& w = ObsWorld::instance();
+  auto& prof = obs::StageProfiler::instance();
+  serve::ServerConfig cfg;  // defaults: kernel routes, profiler on
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               cfg);
+  prof.reset();
+  auto f = server.submit(w.request(1));
+  ASSERT_TRUE(f.has_value());
+  f->get();
+  EXPECT_GE(prof.snapshot(obs::Stage::kForward).total, 1u);
+  EXPECT_GE(prof.snapshot(obs::Stage::kAttention).total, 1u)
+      << "a served forward recorded no attention sample";
+}
+
 TEST(ObsServer, TracedFaultyRequestYieldsTaggedSpanTree) {
   FaultGuard guard;
   TraceGuard trace_guard;

@@ -36,6 +36,22 @@ struct PoolEnabledOverride {
   ~PoolEnabledOverride() { ct::set_pool_enabled(saved); }
 };
 
+/// The miniature surrogate (the BM_TrainStep / serving-test model).
+core::SurrogateConfig mini_surrogate_config() {
+  core::SurrogateConfig cfg;
+  cfg.H = 20;
+  cfg.W = 20;
+  cfg.D = 6;
+  cfg.T = 3;
+  cfg.patch_h = 5;
+  cfg.patch_w = 5;
+  cfg.patch_d = 2;
+  cfg.embed_dim = 8;
+  cfg.stages = 3;
+  cfg.heads = {2, 4, 8};
+  return cfg;
+}
+
 }  // namespace
 
 TEST(StoragePool, FreeListReuseIsCountedAndSkipsTheHeap) {
@@ -191,18 +207,7 @@ TEST(StorageArena, SurrogateEpisodeStepAllocBudget) {
   // the window-mask caches (vector-backed) and sizes the pool chunks.
   if (!ct::pool_enabled()) GTEST_SKIP() << "pool disabled via env";
   util::Rng rng(10);
-  core::SurrogateConfig cfg;
-  cfg.H = 20;
-  cfg.W = 20;
-  cfg.D = 6;
-  cfg.T = 3;
-  cfg.patch_h = 5;
-  cfg.patch_w = 5;
-  cfg.patch_d = 2;
-  cfg.embed_dim = 8;
-  cfg.stages = 3;
-  cfg.heads = {2, 4, 8};
-  core::SurrogateModel model(cfg, rng);
+  core::SurrogateModel model(mini_surrogate_config(), rng);
   util::Rng drng(11);
   Tensor volume = Tensor::randn({1, 3, 20, 20, 6, 4}, drng);
   Tensor surface = Tensor::randn({1, 1, 20, 20, 4}, drng);
@@ -221,6 +226,36 @@ TEST(StorageArena, SurrogateEpisodeStepAllocBudget) {
   const auto after = ct::alloc_stats();
   EXPECT_EQ(after.total_allocs, before.total_allocs)
       << "steady-state surrogate episode hit the heap";
+}
+
+TEST(StorageArena, ServedBatchForwardAllocBudget) {
+  // The serve-cold shape: an eval forward of B = 8 stacked requests under
+  // BatchStatScope(8), which routes the decoder heads through the fused
+  // patch-recovery kernel.  Its scratch comes from the per-thread
+  // workspaces and its buffers from the pool/arena, so after warmup the
+  // per-forward heap-allocation budget is exactly zero.
+  if (!ct::pool_enabled()) GTEST_SKIP() << "pool disabled via env";
+  util::Rng rng(12);
+  core::SurrogateModel model(mini_surrogate_config(), rng);
+  model.set_training(false);
+  util::Rng drng(13);
+  const int64_t B = 8;
+  Tensor volume = Tensor::randn({B, 3, 20, 20, 6, 4}, drng);
+  Tensor surface = Tensor::randn({B, 1, 20, 20, 4}, drng);
+  tensor::NoGradGuard ng;
+  nn::BatchStatScope scope(B);
+  for (int i = 0; i < 2; ++i) {
+    ct::ArenaScope arena;
+    (void)model.forward(volume, surface);
+  }
+  const auto before = ct::alloc_stats();
+  {
+    ct::ArenaScope arena;
+    (void)model.forward(volume, surface);
+  }
+  const auto after = ct::alloc_stats();
+  EXPECT_EQ(after.total_allocs, before.total_allocs)
+      << "steady-state served batch forward hit the heap";
 }
 
 TEST(StorageDisabledPool, EscapeHatchMakesEveryAllocationReal) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "core/surrogate.hpp"
@@ -41,10 +42,16 @@ struct Inputs {
   Tensor volume, surface;
 };
 
-Inputs mini_inputs(uint64_t seed) {
+Inputs mini_inputs(uint64_t seed, int64_t batch = 1) {
   Rng rng(seed);
-  return {Tensor::randn({1, 3, 20, 20, 6, 4}, rng),
-          Tensor::randn({1, 1, 20, 20, 4}, rng)};
+  return {Tensor::randn({batch, 3, 20, 20, 6, 4}, rng),
+          Tensor::randn({batch, 1, 20, 20, 4}, rng)};
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 }  // namespace
@@ -218,4 +225,47 @@ TEST(Surrogate, DeterministicForSeed) {
   auto oa = a.forward(in.volume, in.surface);
   auto ob = b.forward(in.volume, in.surface);
   expect_tensor_near(oa.volume, ob.volume, 0.0);
+}
+
+TEST(Surrogate, FusedInferenceHeadsMatchRecordedModulePathBitwise) {
+  // An eval forward under NoGradGuard takes the fused patch-recovery
+  // heads; the same forward with recording on builds a graph and so takes
+  // the module path.  Served outputs must not depend on which ran.
+  Rng rng(22);
+  SurrogateModel model(mini_config(), rng);
+  model.set_training(false);
+  auto in = mini_inputs(23);
+  core::SurrogateOutput fused;
+  {
+    ct::NoGradGuard ng;
+    fused = model.forward(in.volume, in.surface);
+  }
+  auto recorded = model.forward(in.volume, in.surface);
+  ASSERT_TRUE(recorded.volume.has_grad_fn()) << "module path not recorded";
+  EXPECT_TRUE(bitwise_equal(fused.volume, recorded.volume));
+  EXPECT_TRUE(bitwise_equal(fused.surface, recorded.surface));
+}
+
+TEST(Surrogate, GroupedBatchForwardMatchesSingleForwardsBitwise) {
+  // The serving shape: B requests stacked under BatchStatScope(B) give
+  // each request exactly its B == 1 forecast.
+  Rng rng(24);
+  SurrogateModel model(mini_config(), rng);
+  model.set_training(false);
+  const int64_t B = 3;
+  auto in = mini_inputs(25, B);
+  ct::NoGradGuard ng;
+  core::SurrogateOutput batched;
+  {
+    coastal::nn::BatchStatScope scope(B);
+    batched = model.forward(in.volume, in.surface);
+  }
+  for (int64_t b = 0; b < B; ++b) {
+    auto single = model.forward(in.volume.slice(0, b, 1),
+                                in.surface.slice(0, b, 1));
+    EXPECT_TRUE(bitwise_equal(batched.volume.slice(0, b, 1), single.volume))
+        << "volume of entry " << b;
+    EXPECT_TRUE(bitwise_equal(batched.surface.slice(0, b, 1), single.surface))
+        << "surface of entry " << b;
+  }
 }
