@@ -22,6 +22,7 @@
 #include "ocean/bathymetry.hpp"
 #include "ocean/solver.hpp"
 #include "parallel/decomposition.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/server.hpp"
 #include "tensor/half.hpp"
 #include "tensor/kernels.hpp"
@@ -299,6 +300,21 @@ static void BM_AllocChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 5);  // tensors allocated
 }
 BENCHMARK(BM_AllocChurn)->Arg(64)->Arg(256);
+
+static void BM_ParallelForRoundTrip(benchmark::State& state) {
+  // Dispatch cost alone: one empty chunk per worker of the shared pool,
+  // so the figure is wake + claim + join — what every parallel kernel
+  // pays on top of its work.  With one worker the call runs inline.
+  auto& pool = par::ThreadPool::global();
+  const size_t chunks = pool.size();
+  for (auto _ : state) {
+    pool.parallel_for(
+        0, chunks,
+        [](size_t lo, size_t hi) { benchmark::DoNotOptimize(hi - lo); },
+        chunks);
+  }
+}
+BENCHMARK(BM_ParallelForRoundTrip)->UseRealTime();
 
 namespace {
 

@@ -11,19 +11,16 @@ namespace coastal::par {
 namespace {
 thread_local bool t_in_worker = false;
 
-/// Bounded idle spin before a worker parks on the condition variable.
-/// Sized to cover the gap between consecutive parallel_for dispatches of a
-/// steady-state serving loop (tens of microseconds) without burning a core
-/// when the pool is genuinely idle.
-constexpr int kIdleSpinIters = 4096;
+/// Bounded spin before a thread parks on a condition variable: an idle
+/// worker waiting for tickets, or a caller waiting for its helpers.  Sized
+/// to cover the gap between consecutive parallel_for dispatches of a
+/// steady-state serving loop (~0.1 ms of sched_yield calls on a 4-vCPU
+/// x86 host) without burning a core when the pool is genuinely idle.  The
+/// spin yields rather than pauses: the pool's workers plus the caller
+/// outnumber the cores, and a spinning thread that keeps its core would
+/// starve the thread that holds the work.
+constexpr int kSpinIters = 400;
 
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
 }  // namespace
 
 int env_thread_override() {
@@ -103,14 +100,42 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   return fut;
 }
 
+/// One parallel_for call, on the caller's stack.  Workers reach it through
+/// tickets; the caller withdraws the unclaimed ones and waits for
+/// `helpers` to drop to zero before the frame unwinds.
+struct ThreadPool::ForkJoin {
+  util::FunctionRef<void(size_t, size_t)> fn;
+  size_t begin, end, chunk, nchunks;
+  std::atomic<size_t> next{0};      ///< next unclaimed chunk index
+  std::atomic<int> helpers{0};      ///< workers holding a ticket of this job
+  std::atomic<bool> failed{false};  ///< first thrower owns `error`
+  std::exception_ptr error{};
+
+  /// Claim and run chunks until none are left.  A throwing chunk records
+  /// the first exception and the runner moves on, so every chunk runs.
+  void run() noexcept {
+    for (;;) {
+      const size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= nchunks) return;
+      const size_t lo = begin + c * chunk;
+      try {
+        fn(lo, std::min(end, lo + chunk));
+      } catch (...) {
+        if (!failed.exchange(true, std::memory_order_relaxed))
+          error = std::current_exception();
+      }
+    }
+  }
+};
+
 void ThreadPool::parallel_for(size_t begin, size_t end,
-                              const std::function<void(size_t, size_t)>& fn,
+                              util::FunctionRef<void(size_t, size_t)> fn,
                               size_t nchunks) {
   if (begin >= end) return;
   const size_t n = end - begin;
   if (in_worker()) {
-    // A worker waiting on its own pool's queue can deadlock (all workers
-    // blocked on chunks nobody is left to run); degrade to inline.
+    // A worker waiting on its own pool can deadlock (all workers blocked
+    // on chunks nobody is left to run); degrade to inline.
     fn(begin, end);
     return;
   }
@@ -121,52 +146,92 @@ void ThreadPool::parallel_for(size_t begin, size_t end,
     return;
   }
   const size_t chunk = (n + nchunks - 1) / nchunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(nchunks);
-  for (size_t c = 0; c < nchunks; ++c) {
-    const size_t lo = begin + c * chunk;
-    const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    futs.push_back(submit([&fn, lo, hi] { fn(lo, hi); }));
+  ForkJoin job{fn, begin, end, chunk, (n + chunk - 1) / chunk};
+
+  const size_t invited = std::min(job.nchunks - 1, size());
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    tickets_.insert(tickets_.end(), invited, &job);
   }
-  // Drain every future even if one throws; otherwise chunks still
-  // referencing `fn` (and the caller's captures) would outlive this frame.
-  std::exception_ptr first_error;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  pending_.fetch_add(static_cast<int64_t>(invited), std::memory_order_release);
+  for (size_t i = 0; i < invited; ++i) cv_.notify_one();
+
+  // The caller runs chunks as a worker would, so kernels nested in its
+  // chunks stay inline exactly as they do on a pool worker.
+  t_in_worker = true;
+  job.run();
+  t_in_worker = false;
+
+  // No chunk is left to claim.  Withdraw the tickets nobody took, then
+  // wait for the helpers that did: they may still be inside a chunk, and
+  // they read `job` until they leave.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const size_t withdrawn = std::erase(tickets_, &job);
+    pending_.fetch_sub(static_cast<int64_t>(withdrawn),
+                       std::memory_order_relaxed);
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (int i = 0;
+       i < kSpinIters && job.helpers.load(std::memory_order_acquire) != 0;
+       ++i) {
+    std::this_thread::yield();
+  }
+  if (job.helpers.load(std::memory_order_acquire) != 0) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    join_cv_.wait(lock, [&job] {
+      return job.helpers.load(std::memory_order_acquire) == 0;
+    });
+  }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void ThreadPool::worker_loop() {
   t_in_worker = true;
   for (;;) {
     std::packaged_task<void()> task;
+    ForkJoin* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (!stop_ && queue_.empty()) {
+      if (!stop_ && queue_.empty() && tickets_.empty()) {
         // Warm path: spin briefly off-lock watching the pending counter
-        // before parking, so the next batch's chunks start without a futex
-        // wake.  stop_ is checked again under the lock below.
+        // before parking, so the next call's tickets are picked up without
+        // a futex wake.  stop_ is checked again under the lock below.
         lock.unlock();
-        for (int i = 0; i < kIdleSpinIters &&
-                        pending_.load(std::memory_order_acquire) == 0;
+        for (int i = 0;
+             i < kSpinIters && pending_.load(std::memory_order_acquire) == 0;
              ++i) {
-          cpu_relax();
+          std::this_thread::yield();
         }
         lock.lock();
       }
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      cv_.wait(lock, [this] {
+        return stop_ || !queue_.empty() || !tickets_.empty();
+      });
+      if (!tickets_.empty()) {
+        // A ticket's caller is running chunks right now; join it first.
+        job = tickets_.back();
+        tickets_.pop_back();
+        job->helpers.fetch_add(1, std::memory_order_relaxed);
+      } else if (!queue_.empty()) {
+        task = std::move(queue_.front());
+        queue_.pop_front();
+      } else {
+        return;  // stop_ with nothing queued
+      }
       pending_.fetch_sub(1, std::memory_order_relaxed);
     }
-    task();
+    if (job) {
+      job->run();
+      // Last touch of `job`: once `helpers` reads zero its caller may
+      // return.  The wake-up goes through the pool's own mutex and
+      // condition variable, which outlive every call.
+      if (job->helpers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        join_cv_.notify_all();
+      }
+    } else {
+      task();
+    }
   }
 }
 

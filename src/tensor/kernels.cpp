@@ -75,7 +75,7 @@ bool fused_attention_wins(int64_t nbatch, int64_t n, int64_t head_dim) {
 }
 
 void parallel_for(int64_t total, int64_t cost_per_item,
-                  const std::function<void(int64_t, int64_t)>& fn) {
+                  util::FunctionRef<void(int64_t, int64_t)> fn) {
   if (total <= 0) return;
   const KernelConfig& cfg = config();
   const int threads = resolved_threads();
@@ -96,7 +96,7 @@ void parallel_for(int64_t total, int64_t cost_per_item,
   }
   par::ThreadPool::global().parallel_for(
       0, static_cast<size_t>(total),
-      [&fn](size_t lo, size_t hi) {
+      [fn](size_t lo, size_t hi) {
         fn(static_cast<int64_t>(lo), static_cast<int64_t>(hi));
       },
       static_cast<size_t>(nchunks));
@@ -248,17 +248,11 @@ void gemm_rowblock(const float* A, const float* Bp, float* C, int64_t mb,
   }
 }
 
-}  // namespace
-
-void gemm(const float* A, const float* B, float* C, int64_t m, int64_t k,
-          int64_t n) {
-  gemm_batched(A, B, C, m, k, n, 1, {0}, {0});
-}
-
-void gemm_batched(const float* A, const float* B, float* C, int64_t m,
-                  int64_t k, int64_t n, int64_t nbatch,
-                  const std::vector<int64_t>& a_off,
-                  const std::vector<int64_t>& b_off) {
+/// gemm_batched over raw offset arrays of `nbatch` entries each, so the
+/// single-entry gemm() needs no offset vectors.
+void gemm_batched_impl(const float* A, const float* B, float* C, int64_t m,
+                       int64_t k, int64_t n, int64_t nbatch,
+                       const int64_t* a_off, const int64_t* b_off) {
   if (m <= 0 || n <= 0 || nbatch <= 0) return;
   obs::ScopedStage obs_stage(obs::Stage::kGemm);
   const KernelConfig& cfg = config();
@@ -268,8 +262,7 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
   if (m * k * n <= cfg.gemm_small_madds) {
     parallel_for(nbatch, m * k * n, [&](int64_t lo, int64_t hi) {
       for (int64_t b = lo; b < hi; ++b) {
-        gemm_naive(A + a_off[static_cast<size_t>(b)],
-                   B + b_off[static_cast<size_t>(b)], C + b * m * n, m, k, n);
+        gemm_naive(A + a_off[b], B + b_off[b], C + b * m * n, m, k, n);
       }
     });
     return;
@@ -288,30 +281,40 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
   // pool workers only read it, and it outlives the parallel_for below.
   const int64_t kc_max = std::max<int64_t>(kMR, cfg.gemm_kc);
   const int64_t npad = ceil_div(n, kNR) * kNR;
-  // Distinct b_off values (first-seen order) and each entry's image index.
-  // Fast paths cover the two dominant shapes — a single batch entry and a
-  // fully broadcast B — before falling back to hashing.
-  std::vector<int64_t> uniq;
-  std::vector<int32_t> u_of;
-  bool all_same = true;
-  for (int64_t b = 1; b < nbatch && all_same; ++b)
-    all_same = b_off[static_cast<size_t>(b)] == b_off[0];
-  if (all_same) {
-    uniq.push_back(b_off[0]);
-  } else {
+  // Distinct b_off values and each entry's image index.  The two dominant
+  // shapes need no tables: one image shared by every entry (a single entry
+  // or a fully broadcast B), and strictly increasing offsets (every entry
+  // its own image, in entry order).  Other patterns hash, keeping
+  // first-seen order.
+  bool all_same = true, increasing = true;
+  for (int64_t b = 1; b < nbatch; ++b) {
+    all_same = all_same && b_off[b] == b_off[0];
+    increasing = increasing && b_off[b] > b_off[b - 1];
+  }
+  const int64_t* uniq = b_off;
+  int64_t nuniq = all_same ? 1 : nbatch;
+  std::vector<int64_t> uniq_hashed;
+  std::vector<int32_t> u_of;  // entry -> image, hashed patterns only
+  if (!all_same && !increasing) {
     u_of.resize(static_cast<size_t>(nbatch));
     std::unordered_map<int64_t, int32_t> seen;
     seen.reserve(static_cast<size_t>(nbatch));
     for (int64_t b = 0; b < nbatch; ++b) {
-      auto [it, inserted] = seen.emplace(b_off[static_cast<size_t>(b)],
-                                         static_cast<int32_t>(uniq.size()));
-      if (inserted) uniq.push_back(b_off[static_cast<size_t>(b)]);
+      auto [it, inserted] = seen.emplace(
+          b_off[b], static_cast<int32_t>(uniq_hashed.size()));
+      if (inserted) uniq_hashed.push_back(b_off[b]);
       u_of[static_cast<size_t>(b)] = it->second;
     }
+    uniq = uniq_hashed.data();
+    nuniq = static_cast<int64_t>(uniq_hashed.size());
   }
+  auto image_of = [&](int64_t b) -> int64_t {
+    if (all_same) return 0;
+    return u_of.empty() ? b : u_of[static_cast<size_t>(b)];
+  };
   const int64_t bstride = k * npad;  // one packed B image
   const int64_t kcblocks = ceil_div(k, kc_max);
-  const int64_t need = static_cast<int64_t>(uniq.size()) * bstride;
+  const int64_t need = nuniq * bstride;
 
   // Share the pre-packed images only when (a) some image is actually
   // consumed by more than one task and (b) the transient buffer — a padded
@@ -323,7 +326,7 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
   // undoing the memory wins this engine exists for.
   constexpr int64_t kBpackSharedMaxFloats = int64_t{1} << 23;  // 32 MB
   const bool share = need <= kBpackSharedMaxFloats &&
-                     nbatch * nblocks > static_cast<int64_t>(uniq.size());
+                     nbatch * nblocks > nuniq;
   if (!share) {
     parallel_for(nbatch * nblocks, mc * k * n, [&](int64_t lo, int64_t hi) {
       std::vector<float> local;
@@ -333,7 +336,7 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
         const int64_t b = t / nblocks;
         const int64_t i0 = (t % nblocks) * mc;
         const int64_t mb = std::min(mc, m - i0);
-        const int64_t off = b_off[static_cast<size_t>(b)];
+        const int64_t off = b_off[b];
         if (off != packed_off) {
           // Tasks are consecutive within a chunk, so same-entry row
           // blocks repack at most once per chunk.
@@ -343,8 +346,8 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
           }
           packed_off = off;
         }
-        gemm_rowblock(A + a_off[static_cast<size_t>(b)] + i0 * k, img,
-                      C + b * m * n + i0 * n, mb, k, n, cfg);
+        gemm_rowblock(A + a_off[b] + i0 * k, img, C + b * m * n + i0 * n, mb,
+                      k, n, cfg);
       }
     });
     return;
@@ -355,10 +358,10 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
   // across the parallel_for.
   std::vector<float> bpack_local;
   float* bpack = pack_scratch(need, workspace().gemm_bpack, bpack_local);
-  const int64_t pack_tasks = static_cast<int64_t>(uniq.size()) * kcblocks;
+  const int64_t pack_tasks = nuniq * kcblocks;
   if (pack_tasks == 1) {
     // Single image, single k-panel: skip the dispatch (tiny GEMMs sit in
-    // the microsecond range where a std::function round-trip shows up).
+    // the microsecond range where a pool round-trip shows up).
     pack_b(B + uniq[0], n, k, n, bpack);
   } else {
     parallel_for(pack_tasks, kc_max * npad, [&](int64_t lo, int64_t hi) {
@@ -366,7 +369,7 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
         const int64_t u = t / kcblocks;
         const int64_t pc0 = (t % kcblocks) * kc_max;
         const int64_t kc = std::min(kc_max, k - pc0);
-        pack_b(B + uniq[static_cast<size_t>(u)] + pc0 * n, n, kc, n,
+        pack_b(B + uniq[u] + pc0 * n, n, kc, n,
                bpack + u * bstride + pc0 * npad);
       }
     });
@@ -377,12 +380,25 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
       const int64_t b = t / nblocks;
       const int64_t i0 = (t % nblocks) * mc;
       const int64_t mb = std::min(mc, m - i0);
-      const int64_t u = all_same ? 0 : u_of[static_cast<size_t>(b)];
-      gemm_rowblock(A + a_off[static_cast<size_t>(b)] + i0 * k,
-                    bpack + u * bstride, C + b * m * n + i0 * n, mb, k, n,
-                    cfg);
+      gemm_rowblock(A + a_off[b] + i0 * k, bpack + image_of(b) * bstride,
+                    C + b * m * n + i0 * n, mb, k, n, cfg);
     }
   });
+}
+
+}  // namespace
+
+void gemm(const float* A, const float* B, float* C, int64_t m, int64_t k,
+          int64_t n) {
+  const int64_t zero = 0;
+  gemm_batched_impl(A, B, C, m, k, n, 1, &zero, &zero);
+}
+
+void gemm_batched(const float* A, const float* B, float* C, int64_t m,
+                  int64_t k, int64_t n, int64_t nbatch,
+                  const std::vector<int64_t>& a_off,
+                  const std::vector<int64_t>& b_off) {
+  gemm_batched_impl(A, B, C, m, k, n, nbatch, a_off.data(), b_off.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,7 +1154,7 @@ void binary_broadcast(BinOp op, const float* a, const float* b, float* out,
 }
 
 void map(const float* x, float* out, int64_t n, int64_t cost,
-         const std::function<void(const float*, float*, int64_t)>& fn) {
+         util::FunctionRef<void(const float*, float*, int64_t)> fn) {
   parallel_for(n, cost, [&](int64_t lo, int64_t hi) {
     fn(x + lo, out + lo, hi - lo);
   });

@@ -27,10 +27,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "tensor/shape.hpp"
+#include "util/function_ref.hpp"
 
 namespace coastal::tensor::kernels {
 
@@ -123,9 +123,11 @@ int resolved_threads();
 /// thread is available), serially otherwise.  Chunk boundaries are
 /// independent of thread count only in so far as each index is processed
 /// exactly once — callers must keep any reduction confined to a single
-/// index for determinism.
+/// index for determinism.  `fn` is borrowed for the call, and a dispatch
+/// allocates nothing; the calling thread runs chunks too, and a call made
+/// from inside a chunk runs inline (see ThreadPool::parallel_for).
 void parallel_for(int64_t total, int64_t cost_per_item,
-                  const std::function<void(int64_t, int64_t)>& fn);
+                  util::FunctionRef<void(int64_t, int64_t)> fn);
 
 // ---------------------------------------------------------------------------
 // GEMM
@@ -299,6 +301,6 @@ void binary_broadcast(BinOp op, const float* a, const float* b, float* out,
 /// out[i] = fn(x[i]) in parallel chunks; `cost` is a relative per-element
 /// cost hint (1 = cheap arithmetic, larger for transcendentals).
 void map(const float* x, float* out, int64_t n, int64_t cost,
-         const std::function<void(const float*, float*, int64_t)>& fn);
+         util::FunctionRef<void(const float*, float*, int64_t)> fn);
 
 }  // namespace coastal::tensor::kernels

@@ -5,15 +5,73 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <new>
 #include <numeric>
 #include <string>
+#include <thread>
 
 #include "parallel/communicator.hpp"
 #include "parallel/decomposition.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/kernels.hpp"
+#include "test_helpers.hpp"
 
 namespace par = coastal::par;
+
+// ---------------------------------------------------------------------------
+// operator new counting hook.  alloc_stats() sees tensor Storage only; this
+// sees every C++ heap allocation made by any thread while `g_count_news` is
+// set, which is what a zero-allocation dispatch has to be pinned against.
+// ---------------------------------------------------------------------------
+
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<int64_t> g_news{0};
+
+void* counted_new(std::size_t n) {
+  if (g_count_news.load(std::memory_order_relaxed))
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+
+/// operator new calls made by every thread while `fn` runs.
+template <typename Fn>
+int64_t news_during(Fn&& fn) {
+  g_news = 0;
+  g_count_news = true;
+  fn();
+  g_count_news = false;
+  return g_news.load();
+}
+}  // namespace
+
+// Every non-aligned form is replaced, so each block is malloc'd and free'd
+// by this pair whichever form a library call uses (sanitizer runtimes
+// check that allocation and release functions match).
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_new(n);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   par::ThreadPool pool(3);
@@ -134,6 +192,156 @@ TEST(ThreadPool, ResizeZeroRereadsEnvOverride) {
   } else {
     unsetenv("COASTAL_NUM_THREADS");
   }
+}
+
+/// Occupies every worker of a pool with a submit()ted task that blocks
+/// until release(), so a parallel_for on that pool gets no helper.
+class BlockedWorkers {
+ public:
+  explicit BlockedWorkers(par::ThreadPool& pool) {
+    for (size_t i = 0; i < pool.size(); ++i)
+      futs_.push_back(pool.submit([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++started_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }));
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return started_ == futs_.size(); });
+  }
+  ~BlockedWorkers() { release(); }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    for (auto& f : futs_)
+      if (f.valid()) f.get();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t started_ = 0;
+  bool released_ = false;
+  std::vector<std::future<void>> futs_;
+};
+
+TEST(ThreadPool, ParallelForCompletesWhileEveryWorkerIsBusy) {
+  // The caller runs chunks itself, so a dispatch needs no free worker.
+  par::ThreadPool pool(2);
+  BlockedWorkers blocked(pool);
+  std::vector<std::atomic<int>> hits(100);
+  std::atomic<int> foreign_chunks{0};
+  const auto caller = std::this_thread::get_id();
+  pool.parallel_for(
+      0, 100,
+      [&](size_t lo, size_t hi) {
+        if (std::this_thread::get_id() != caller) foreign_chunks.fetch_add(1);
+        for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      },
+      8);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(foreign_chunks.load(), 0);
+  blocked.release();
+  // The released workers find no stale ticket and serve the next call.
+  std::atomic<int> total{0};
+  pool.parallel_for(0, 64, [&](size_t lo, size_t hi) {
+    total.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ThreadPool, CallerChunksCountAsWorkerAndNestInline) {
+  par::ThreadPool pool(1);
+  BlockedWorkers blocked(pool);  // every chunk below runs on the caller
+  EXPECT_FALSE(par::ThreadPool::in_worker());
+  std::atomic<int> chunks{0}, nested_calls{0};
+  pool.parallel_for(
+      0, 4,
+      [&](size_t, size_t) {
+        chunks.fetch_add(1);
+        EXPECT_TRUE(par::ThreadPool::in_worker());
+        // Nested: one inline call over the whole range, on this thread.
+        const auto self = std::this_thread::get_id();
+        pool.parallel_for(
+            0, 10,
+            [&](size_t l, size_t h) {
+              EXPECT_EQ(l, 0u);
+              EXPECT_EQ(h, 10u);
+              EXPECT_EQ(std::this_thread::get_id(), self);
+              nested_calls.fetch_add(1);
+            },
+            5);
+      },
+      4);
+  EXPECT_EQ(chunks.load(), 4);
+  EXPECT_EQ(nested_calls.load(), 4);
+  EXPECT_FALSE(par::ThreadPool::in_worker());
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirOwnRangeOnce) {
+  // Three non-pool threads share one pool.  Each call's tickets must only
+  // ever run that call's chunks, and withdrawing one caller's unclaimed
+  // tickets must leave the others' in place.
+  par::ThreadPool pool(4);
+  constexpr int kCallers = 3, kRounds = 200;
+  constexpr size_t kN = 257;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<std::atomic<int>> hits(kN);
+      for (int r = 0; r < kRounds; ++r) {
+        for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+        pool.parallel_for(
+            0, kN,
+            [&](size_t lo, size_t hi) {
+              for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+            },
+            static_cast<size_t>(4 + (r + c) % 13));
+        for (auto& h : hits)
+          if (h.load() != 1) bad.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(ThreadPool, ParallelForDispatchAllocatesNothing) {
+  par::ThreadPool pool(4);
+  std::atomic<size_t> covered{0};
+  auto body = [&](size_t lo, size_t hi) { covered.fetch_add(hi - lo); };
+  for (int i = 0; i < 8; ++i) pool.parallel_for(0, 1024, body, 16);  // warm
+  covered = 0;
+  const int64_t news = news_during([&] {
+    for (int i = 0; i < 100; ++i) pool.parallel_for(0, 1024, body, 16);
+  });
+  EXPECT_EQ(news, 0);
+  EXPECT_EQ(covered.load(), 100u * 1024u);
+}
+
+TEST(ThreadPool, FusedHeadTileGemmAllocatesNothing) {
+  // The fused patch-recovery head's tile GEMM: [256, 8] x [8, 3].
+  namespace ker = coastal::tensor::kernels;
+  coastal::testing::KernelConfigOverride guard;
+  const size_t saved_pool = par::ThreadPool::global().size();
+  ker::config().num_threads = 4;
+  par::ThreadPool::global().resize(4);
+  constexpr int64_t m = 256, k = 8, n = 3;
+  std::vector<float> a(m * k), b(k * n), c(m * n, 0.0f);
+  for (size_t i = 0; i < a.size(); ++i) a[i] = 0.01f * static_cast<float>(i % 97);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = 0.1f * static_cast<float>(i);
+  for (int i = 0; i < 4; ++i) ker::gemm(a.data(), b.data(), c.data(), m, k, n);
+  const int64_t news = news_during([&] {
+    for (int i = 0; i < 50; ++i)
+      ker::gemm(a.data(), b.data(), c.data(), m, k, n);
+  });
+  EXPECT_EQ(news, 0);
+  par::ThreadPool::global().resize(saved_pool);
 }
 
 TEST(Communicator, PointToPointDelivery) {
